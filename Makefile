@@ -94,10 +94,11 @@ bench:
 # Throughput-bench smoke for CI: every BenchmarkServerThroughput subrun
 # (sync, multi-connection, pipelined fast lane) executes once, so the
 # serving hot path, the pipeline client, and the metrics plumbing they
-# report through cannot rot unnoticed. Compare two saved outputs with
-# scripts/bench_compare.sh.
+# report through cannot rot unnoticed; so do the audit sweep (both region
+# sizes, with allocation counts) and DBmove on a long group chain.
+# Compare two saved outputs with scripts/bench_compare.sh.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughput' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughput|BenchmarkAuditFullSweep|BenchmarkDBMove' -benchtime 1x .
 
 clean:
 	$(GO) clean ./...

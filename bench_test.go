@@ -277,9 +277,11 @@ func buildRobustList(b *testing.B, n int) *robust.List {
 
 // --- Substrate micro-benchmarks -------------------------------------------
 
-func newBenchDB(b *testing.B, audited bool) (*memdb.DB, *memdb.Client, int) {
+func newBenchDB(b *testing.B, audited bool, callRecords int) (*memdb.DB, *memdb.Client, int) {
 	b.Helper()
-	db, err := memdb.New(callproc.Schema(callproc.DefaultSchemaConfig()))
+	cfg := callproc.DefaultSchemaConfig()
+	cfg.CallRecords = callRecords
+	db, err := memdb.New(callproc.Schema(cfg))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -302,7 +304,7 @@ func newBenchDB(b *testing.B, audited bool) (*memdb.DB, *memdb.Client, int) {
 }
 
 func BenchmarkDBWriteRec(b *testing.B) {
-	_, c, ri := newBenchDB(b, false)
+	_, c, ri := newBenchDB(b, false, callproc.DefaultSchemaConfig().CallRecords)
 	vals := []uint32{1, 42, 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -313,7 +315,7 @@ func BenchmarkDBWriteRec(b *testing.B) {
 }
 
 func BenchmarkDBWriteRecAudited(b *testing.B) {
-	db, c, ri := newBenchDB(b, true)
+	db, c, ri := newBenchDB(b, true, callproc.DefaultSchemaConfig().CallRecords)
 	vals := []uint32{1, 42, 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -328,7 +330,7 @@ func BenchmarkDBWriteRecAudited(b *testing.B) {
 }
 
 func BenchmarkDBReadFld(b *testing.B) {
-	_, c, ri := newBenchDB(b, false)
+	_, c, ri := newBenchDB(b, false, callproc.DefaultSchemaConfig().CallRecords)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.ReadFld(callproc.TblConn, ri, 0); err != nil {
@@ -337,21 +339,66 @@ func BenchmarkDBReadFld(b *testing.B) {
 	}
 }
 
-func BenchmarkAuditFullSweep(b *testing.B) {
-	db, _, _ := newBenchDB(b, false)
-	checks := []audit.FullChecker{
-		audit.NewStaticCheck(db, audit.Recovery{}),
-		audit.NewStructuralCheck(db, audit.Recovery{}),
-		audit.NewRangeCheck(db, audit.Recovery{}),
+// allocResources allocates n Resource records spread over the channel
+// banks and returns them in allocation order.
+func allocResources(b *testing.B, c *memdb.Client, n int) []int {
+	b.Helper()
+	recs := make([]int, n)
+	for i := range recs {
+		var err error
+		if recs[i], err = c.Alloc(callproc.TblRes, i%callproc.ResourceBanks); err != nil {
+			b.Fatal(err)
+		}
 	}
+	return recs
+}
+
+// BenchmarkAuditFullSweep times one static + structural + range sweep of a
+// clean region: the default schema, and 16,384 call records half full (one
+// shard stripe of the servebench audit-storm region). A sweep's
+// allocations must not grow with the region, so they are reported.
+func BenchmarkAuditFullSweep(b *testing.B) {
+	for _, size := range []struct {
+		name      string
+		records   int
+		resources int // active Resource records beside the benchmark record
+	}{
+		{"default", callproc.DefaultSchemaConfig().CallRecords, 0},
+		{"calls-16384", 16384, 8191},
+	} {
+		b.Run(size.name, func(b *testing.B) {
+			db, c, _ := newBenchDB(b, false, size.records)
+			allocResources(b, c, size.resources)
+			checks := []audit.FullChecker{
+				audit.NewStaticCheck(db, audit.Recovery{}),
+				audit.NewStructuralCheck(db, audit.Recovery{}),
+				audit.NewRangeCheck(db, audit.Recovery{}),
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, chk := range checks {
+					// The allocated records are legitimately active and
+					// consistent: a clean database yields no findings.
+					if fs := chk.CheckAll(); len(fs) != 0 {
+						b.Fatalf("clean sweep found %d errors via %s", len(fs), chk.Name())
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDBMove times DBmove between channel banks whose chains are 2,048
+// records long, so each move walks a chain to unlink its record.
+func BenchmarkDBMove(b *testing.B) {
+	_, c, _ := newBenchDB(b, false, 16384)
+	recs := allocResources(b, c, 8192)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, chk := range checks {
-			// The allocated benchmark record is legitimately active and
-			// consistent: a clean database yields no findings.
-			if fs := chk.CheckAll(); len(fs) != 0 {
-				b.Fatalf("clean sweep found %d errors via %s", len(fs), chk.Name())
-			}
+		if err := c.Move(callproc.TblRes, recs[(i*7)%len(recs)], i%callproc.ResourceBanks); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

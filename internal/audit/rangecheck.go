@@ -14,7 +14,8 @@ import (
 //
 // The range rules are read from the live on-region catalog, so this audit
 // genuinely loses rules when the catalog itself is damaged; fields with no
-// declared range are unchecked ("lack of enforceable rule", Table 4).
+// declared range are unchecked ("lack of enforceable rule", Table 4). A
+// table pass decodes them once: nothing in a pass rewrites the catalog.
 type RangeCheck struct {
 	db       *memdb.DB
 	recovery Recovery
@@ -63,22 +64,54 @@ func (c *RangeCheck) CheckAll() []Finding {
 	return findings
 }
 
-// CheckTable audits every active record of table ti.
+// CheckTable audits every record of table ti under the rules decoded
+// once for this pass.
 func (c *RangeCheck) CheckTable(ti int) []Finding {
 	schema := c.db.Schema()
 	if ti < 0 || ti >= len(schema.Tables) || !schema.Tables[ti].Dynamic {
 		return nil
 	}
+	rules := c.catalogRules(ti)
 	var findings []Finding
 	for ri := 0; ri < schema.Tables[ti].NumRecords; ri++ {
-		findings = append(findings, c.CheckRecord(ti, ri)...)
+		findings = append(findings, c.checkRecord(ti, ri, rules)...)
 	}
 	return findings
+}
+
+// rangeRule is one field's enforceable range as the live catalog states it.
+type rangeRule struct {
+	field    int
+	min, max uint32
+	def      uint32
+}
+
+// catalogRules decodes table ti's range rules from the live on-region
+// catalog. A field whose descriptor does not decode, or declares no range,
+// has no rule.
+func (c *RangeCheck) catalogRules(ti int) []rangeRule {
+	var rules []rangeRule
+	for fi := range c.db.Schema().Tables[ti].Fields {
+		spec, err := c.db.CatalogFieldSpec(ti, fi)
+		if err != nil || !spec.HasRange {
+			continue // no enforceable rule for this field
+		}
+		rules = append(rules, rangeRule{field: fi, min: spec.Min, max: spec.Max, def: spec.Default})
+	}
+	return rules
 }
 
 // CheckRecord audits one record; it is also the event-triggered audit's
 // unit of work after a database write (§4.3).
 func (c *RangeCheck) CheckRecord(ti, ri int) []Finding {
+	if ti < 0 || ti >= len(c.db.Schema().Tables) {
+		return nil
+	}
+	return c.checkRecord(ti, ri, c.catalogRules(ti))
+}
+
+// checkRecord audits record ri of table ti against rules.
+func (c *RangeCheck) checkRecord(ti, ri int, rules []rangeRule) []Finding {
 	st, err := c.db.StatusDirect(ti, ri)
 	if err != nil {
 		return nil
@@ -94,25 +127,18 @@ func (c *RangeCheck) CheckRecord(ti, ri int) []Finding {
 	// version is sampled before and re-validated after the scan.
 	verBefore := c.db.Version(ti, ri)
 
-	schema := c.db.Schema()
 	type bad struct {
-		field    int
-		value    uint32
-		def      uint32
-		min, max uint32
+		rangeRule
+		value uint32
 	}
 	var bads []bad
-	for fi := range schema.Tables[ti].Fields {
-		spec, err := c.db.CatalogFieldSpec(ti, fi)
-		if err != nil || !spec.HasRange {
-			continue // no enforceable rule for this field
-		}
-		v, err := c.db.ReadFieldDirect(ti, ri, fi)
+	for _, r := range rules {
+		v, err := c.db.ReadFieldDirect(ti, ri, r.field)
 		if err != nil {
 			continue
 		}
-		if v < spec.Min || v > spec.Max {
-			bads = append(bads, bad{field: fi, value: v, def: spec.Default, min: spec.Min, max: spec.Max})
+		if v < r.min || v > r.max {
+			bads = append(bads, bad{rangeRule: r, value: v})
 		}
 	}
 	if len(bads) == 0 {

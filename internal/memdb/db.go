@@ -32,6 +32,7 @@ type lockState struct {
 // memory region of the target controller.
 type DB struct {
 	schema   Schema
+	layout   []tableLayout // schema-derived, computed once by New
 	region   []byte
 	snapshot []byte // "permanent storage" copy for reload recovery
 	shadow   *shadow
@@ -77,9 +78,13 @@ func New(schema Schema, opts ...Option) (*DB, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	total, tableOffs, fieldOffs := layoutSize(schema)
+	// The layout below is computed once from the schema; a private copy
+	// of the table list keeps a caller's later edits from skewing it.
+	schema.Tables = append([]TableSpec(nil), schema.Tables...)
+	total, layout := layoutSize(schema)
 	db := &DB{
 		schema:  schema,
+		layout:  layout,
 		region:  make([]byte, total),
 		shadow:  newShadow(schema),
 		locks:   make([]lockState, len(schema.Tables)),
@@ -92,7 +97,7 @@ func New(schema Schema, opts ...Option) (*DB, error) {
 	for _, opt := range opts {
 		opt(db)
 	}
-	writeCatalog(db.region, schema, tableOffs, fieldOffs)
+	writeCatalog(db.region, schema, layout)
 	db.snapshot = make([]byte, total)
 	copy(db.snapshot, db.region)
 	return db, nil
@@ -266,24 +271,20 @@ func (db *DB) ReloadAll() {
 // CatalogExtent returns the byte range of the system catalog, computed from
 // the schema (not the possibly corrupted on-region catalog).
 func (db *DB) CatalogExtent() Extent {
-	_, tableOffs, _ := layoutSize(db.schema)
 	end := len(db.region)
-	if len(tableOffs) > 0 {
-		end = tableOffs[0]
+	if len(db.layout) > 0 {
+		end = db.layout[0].offset
 	}
 	return Extent{Off: 0, Len: end, Name: "catalog"}
 }
 
 // TableExtent returns the byte range of table ti, computed from the schema.
 func (db *DB) TableExtent(ti int) (Extent, error) {
-	if ti < 0 || ti >= len(db.schema.Tables) {
-		return Extent{}, &BoundsError{What: "table", Index: ti, Limit: len(db.schema.Tables)}
+	if ti < 0 || ti >= len(db.layout) {
+		return Extent{}, &BoundsError{What: "table", Index: ti, Limit: len(db.layout)}
 	}
-	_, tableOffs, _ := layoutSize(db.schema)
-	t := db.schema.Tables[ti]
-	recSize := RecordHeaderSize + FieldSize*len(t.Fields)
-	length := groupDirSize(t.Groups) + recSize*t.NumRecords
-	return Extent{Off: tableOffs[ti], Len: length, Name: t.Name}, nil
+	l := &db.layout[ti]
+	return Extent{Off: l.offset, Len: l.record(l.numRecs) - l.offset, Name: db.schema.Tables[ti].Name}, nil
 }
 
 // StaticExtents returns the extents covered by the golden static checksum:
@@ -308,16 +309,14 @@ func (db *DB) StaticExtents() []Extent {
 // the offset of each record header ... based on record sizes stored in
 // system tables (all record sizes are fixed and known)".
 func (db *DB) TrueRecordOffset(ti, ri int) (int, error) {
-	if ti < 0 || ti >= len(db.schema.Tables) {
-		return 0, &BoundsError{What: "table", Index: ti, Limit: len(db.schema.Tables)}
+	if ti < 0 || ti >= len(db.layout) {
+		return 0, &BoundsError{What: "table", Index: ti, Limit: len(db.layout)}
 	}
-	t := db.schema.Tables[ti]
-	if ri < 0 || ri >= t.NumRecords {
-		return 0, &BoundsError{What: "record", Index: ri, Limit: t.NumRecords}
+	l := &db.layout[ti]
+	if ri < 0 || ri >= l.numRecs {
+		return 0, &BoundsError{What: "record", Index: ri, Limit: l.numRecs}
 	}
-	_, tableOffs, _ := layoutSize(db.schema)
-	recSize := RecordHeaderSize + FieldSize*len(t.Fields)
-	return tableOffs[ti] + groupDirSize(t.Groups) + recSize*ri, nil
+	return l.record(ri), nil
 }
 
 // HeaderAt decodes the record header at a known-true offset.
@@ -358,8 +357,8 @@ func (db *DB) ReadFieldDirect(ti, ri, fi int) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	if fi < 0 || fi >= len(db.schema.Tables[ti].Fields) {
-		return 0, &BoundsError{What: "field", Index: fi, Limit: len(db.schema.Tables[ti].Fields)}
+	if n := db.layout[ti].numFields; fi < 0 || fi >= n {
+		return 0, &BoundsError{What: "field", Index: fi, Limit: n}
 	}
 	return getU32(db.region, off+RecordHeaderSize+FieldSize*fi), nil
 }
@@ -371,8 +370,8 @@ func (db *DB) WriteFieldDirect(ti, ri, fi int, v uint32) error {
 	if err != nil {
 		return err
 	}
-	if fi < 0 || fi >= len(db.schema.Tables[ti].Fields) {
-		return &BoundsError{What: "field", Index: fi, Limit: len(db.schema.Tables[ti].Fields)}
+	if n := db.layout[ti].numFields; fi < 0 || fi >= n {
+		return &BoundsError{What: "field", Index: fi, Limit: n}
 	}
 	defer db.mutate()()
 	putU32(db.region, off+RecordHeaderSize+FieldSize*fi, v)
@@ -424,8 +423,8 @@ func (db *DB) SnapshotField(ti, ri, fi int) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	if fi < 0 || fi >= len(db.schema.Tables[ti].Fields) {
-		return 0, &BoundsError{What: "field", Index: fi, Limit: len(db.schema.Tables[ti].Fields)}
+	if n := db.layout[ti].numFields; fi < 0 || fi >= n {
+		return 0, &BoundsError{What: "field", Index: fi, Limit: n}
 	}
 	return getU32(db.snapshot, off+RecordHeaderSize+FieldSize*fi), nil
 }
@@ -452,26 +451,23 @@ func (db *DB) Locate(off int) (Location, error) {
 	if off < 0 || off >= len(db.region) {
 		return Location{}, &BoundsError{What: "byte", Index: off, Limit: len(db.region)}
 	}
-	_, tableOffs, _ := layoutSize(db.schema)
-	if len(tableOffs) == 0 || off < tableOffs[0] {
+	if len(db.layout) == 0 || off < db.layout[0].offset {
 		return Location{Catalog: true, Table: -1, Record: -1, Field: -1}, nil
 	}
-	for ti := len(db.schema.Tables) - 1; ti >= 0; ti-- {
-		if off < tableOffs[ti] {
+	for ti := len(db.layout) - 1; ti >= 0; ti-- {
+		l := &db.layout[ti]
+		if off < l.offset {
 			continue
 		}
-		t := db.schema.Tables[ti]
-		recSize := RecordHeaderSize + FieldSize*len(t.Fields)
-		rel := off - tableOffs[ti]
-		if rel < groupDirSize(t.Groups) {
+		if off < l.recBase {
 			return Location{Table: ti, Record: -1, Field: -1, GroupDir: true}, nil
 		}
-		rel -= groupDirSize(t.Groups)
-		ri := rel / recSize
-		if ri >= t.NumRecords {
+		rel := off - l.recBase
+		ri := rel / l.recSize
+		if ri >= l.numRecs {
 			break
 		}
-		inRec := rel % recSize
+		inRec := rel % l.recSize
 		loc := Location{Table: ti, Record: ri, Field: -1}
 		if inRec < RecordHeaderSize {
 			loc.Header = true

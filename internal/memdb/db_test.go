@@ -77,9 +77,8 @@ func TestCatalogExtentCoversDescriptors(t *testing.T) {
 	if ext.Off != 0 {
 		t.Fatalf("catalog offset = %d, want 0", ext.Off)
 	}
-	_, tableOffs, _ := layoutSize(db.Schema())
-	if ext.Len != tableOffs[0] {
-		t.Fatalf("catalog length = %d, want %d", ext.Len, tableOffs[0])
+	if ext.Len != db.layout[0].offset {
+		t.Fatalf("catalog length = %d, want %d", ext.Len, db.layout[0].offset)
 	}
 }
 

@@ -27,8 +27,7 @@ func (db *DB) groupDirBase(ti int) (int, error) {
 	if db.groupCount(ti) == 0 {
 		return 0, fmt.Errorf("table %d: %w", ti, ErrNoGroups)
 	}
-	_, tableOffs, _ := layoutSize(db.schema)
-	return tableOffs[ti], nil
+	return db.layout[ti].offset, nil
 }
 
 // GroupDirExtent returns the byte range of table ti's chain directory.
@@ -78,37 +77,49 @@ func (db *DB) setGroupHead(ti, g, head int) error {
 // The walk is bounded and cycle-guarded; a malformed chain returns what was
 // reachable plus ok=false.
 func (db *DB) WalkGroup(ti, g int) (records []int, ok bool, err error) {
+	ok, err = db.walkChain(ti, g, db.visitedSet(ti), func(ri int) { records = append(records, ri) })
+	return records, ok, err
+}
+
+// visitedSet returns an empty bitset over table ti's records (nil for an
+// unknown table, whose chain walk fails before it marks anything).
+func (db *DB) visitedSet(ti int) []uint64 {
+	if ti < 0 || ti >= len(db.layout) {
+		return nil
+	}
+	return make([]uint64, (db.layout[ti].numRecs+63)/64)
+}
+
+// walkChain follows group g's chain of table ti, marking each record it
+// reaches in visited and passing it to visit. It stops with ok=false at
+// the first malformed link: an index out of range or already marked (a
+// cycle, or a record shared with a chain walked before into the same
+// set), a record that is not active, or one labelled with another group.
+func (db *DB) walkChain(ti, g int, visited []uint64, visit func(ri int)) (ok bool, err error) {
 	head, err := db.GroupHead(ti, g)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	n := db.schema.Tables[ti].NumRecords
-	seen := make(map[int]bool, 8)
+	l := &db.layout[ti]
 	cur := head
 	for cur != -1 {
-		if cur < 0 || cur >= n || seen[cur] {
-			return records, false, nil
+		if cur < 0 || cur >= l.numRecs || visited[cur/64]&(1<<(cur%64)) != 0 {
+			return false, nil
 		}
-		st, serr := db.StatusDirect(ti, cur)
-		if serr != nil || st != StatusActive {
-			return records, false, nil
+		h := decodeHeader(db.region, l.record(cur))
+		if h.Status != StatusActive || h.GroupID != g {
+			return false, nil
 		}
-		off, oerr := db.TrueRecordOffset(ti, cur)
-		if oerr != nil {
-			return records, false, nil
+		visited[cur/64] |= 1 << (cur % 64)
+		if visit != nil {
+			visit(cur)
 		}
-		h := decodeHeader(db.region, off)
-		if h.GroupID != g {
-			return records, false, nil
-		}
-		seen[cur] = true
-		records = append(records, cur)
 		if h.NextIdx == NilIndex {
 			break
 		}
 		cur = h.NextIdx
 	}
-	return records, true, nil
+	return true, nil
 }
 
 // linkIntoGroup pushes record ri onto group g's chain head and stamps the
@@ -188,28 +199,18 @@ func (db *DB) GroupsConsistent(ti int) (bool, error) {
 	if groups == 0 {
 		return true, fmt.Errorf("table %d: %w", ti, ErrNoGroups)
 	}
-	covered := make(map[int]bool)
+	// One visited set across all chains: a record reached twice, within
+	// a chain or from two of them, fails the walk.
+	visited := db.visitedSet(ti)
 	for g := 0; g < groups; g++ {
-		records, ok, err := db.WalkGroup(ti, g)
-		if err != nil {
+		ok, err := db.walkChain(ti, g, visited, nil)
+		if err != nil || !ok {
 			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-		for _, ri := range records {
-			if covered[ri] {
-				return false, nil // shared between chains
-			}
-			covered[ri] = true
 		}
 	}
-	for ri := 0; ri < db.schema.Tables[ti].NumRecords; ri++ {
-		st, err := db.StatusDirect(ti, ri)
-		if err != nil {
-			return false, err
-		}
-		if st == StatusActive && !covered[ri] {
+	l := &db.layout[ti]
+	for ri := 0; ri < l.numRecs; ri++ {
+		if db.region[l.record(ri)+1] == StatusActive && visited[ri/64]&(1<<(ri%64)) == 0 {
 			return false, nil // active record on no chain
 		}
 	}

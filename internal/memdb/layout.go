@@ -90,8 +90,24 @@ type fieldDesc struct {
 	Default  uint32
 }
 
-// layoutSize computes the region size and per-table offsets for a schema.
-func layoutSize(s Schema) (total int, tableOffsets, fieldOffsets []int) {
+// tableLayout is the schema-derived placement of one table. New computes
+// it once and stores it on the DB: the schema never changes after New, so
+// the audit side and the read fast lane read it instead of recomputing it
+// on every access, and never consult the corruptible on-region catalog.
+type tableLayout struct {
+	offset    int // table start: the group directory, then the records
+	recBase   int // first record header
+	recSize   int
+	numRecs   int
+	numFields int
+	fieldOff  int // this table's field-descriptor block in the catalog
+}
+
+// record returns the region offset of record ri's header.
+func (l *tableLayout) record(ri int) int { return l.recBase + l.recSize*ri }
+
+// layoutSize computes the region size and per-table layout for a schema.
+func layoutSize(s Schema) (total int, tables []tableLayout) {
 	totalFields := 0
 	for _, t := range s.Tables {
 		totalFields += len(t.Fields)
@@ -100,27 +116,33 @@ func layoutSize(s Schema) (total int, tableOffsets, fieldOffsets []int) {
 	// Round the catalog to a 64-byte boundary so table starts are aligned.
 	catSize = (catSize + 63) &^ 63
 
-	tableOffsets = make([]int, len(s.Tables))
-	fieldOffsets = make([]int, len(s.Tables))
+	tables = make([]tableLayout, len(s.Tables))
 	fieldOff := catalogHdrSize + tableDescSize*len(s.Tables)
 	dataOff := catSize
 	for i, t := range s.Tables {
-		fieldOffsets[i] = fieldOff
+		l := tableLayout{
+			offset:    dataOff,
+			recBase:   dataOff + groupDirSize(t.Groups),
+			recSize:   RecordHeaderSize + FieldSize*len(t.Fields),
+			numRecs:   t.NumRecords,
+			numFields: len(t.Fields),
+			fieldOff:  fieldOff,
+		}
+		tables[i] = l
 		fieldOff += fieldDescSize * len(t.Fields)
-		tableOffsets[i] = dataOff
-		recSize := RecordHeaderSize + FieldSize*len(t.Fields)
-		dataOff += groupDirSize(t.Groups) + recSize*t.NumRecords
+		dataOff = l.record(t.NumRecords)
 	}
-	return dataOff, tableOffsets, fieldOffsets
+	return dataOff, tables
 }
 
 // writeCatalog serializes the schema's catalog into region and formats
 // every record header to its pristine state.
-func writeCatalog(region []byte, s Schema, tableOffsets, fieldOffsets []int) {
+func writeCatalog(region []byte, s Schema, tables []tableLayout) {
 	putU32(region, 0, catalogMagic)
 	putU16(region, 4, uint16(len(s.Tables)))
 	putU16(region, 6, 0)
 	for i, t := range s.Tables {
+		l := &tables[i]
 		d := catalogHdrSize + tableDescSize*i
 		region[d] = uint8(i)
 		var flags uint8
@@ -130,15 +152,14 @@ func writeCatalog(region []byte, s Schema, tableOffsets, fieldOffsets []int) {
 		region[d+1] = flags
 		putU16(region, d+2, uint16(t.NumRecords))
 		putU16(region, d+4, uint16(len(t.Fields)))
-		recSize := RecordHeaderSize + FieldSize*len(t.Fields)
-		putU16(region, d+6, uint16(recSize))
-		putU32(region, d+8, uint32(tableOffsets[i]))
-		putU32(region, d+12, uint32(fieldOffsets[i]))
+		putU16(region, d+6, uint16(l.recSize))
+		putU32(region, d+8, uint32(l.offset))
+		putU32(region, d+12, uint32(l.fieldOff))
 		putU16(region, d+16, uint16(t.Groups))
 		putU16(region, d+18, 0)
 
 		for fi, f := range t.Fields {
-			fo := fieldOffsets[i] + fieldDescSize*fi
+			fo := l.fieldOff + fieldDescSize*fi
 			region[fo] = uint8(f.Kind)
 			if f.HasRange {
 				region[fo+1] = 1
@@ -153,11 +174,10 @@ func writeCatalog(region []byte, s Schema, tableOffsets, fieldOffsets []int) {
 
 		// Group-chain heads start empty.
 		for g := 0; g < t.Groups; g++ {
-			putU16(region, tableOffsets[i]+2*g, NilIndex)
+			putU16(region, l.offset+2*g, NilIndex)
 		}
-		recBase := tableOffsets[i] + groupDirSize(t.Groups)
 		for r := 0; r < t.NumRecords; r++ {
-			h := recBase + recSize*r
+			h := l.record(r)
 			formatHeader(region, h, i, r)
 			for fi, f := range t.Fields {
 				putU32(region, h+RecordHeaderSize+FieldSize*fi, f.Default)

@@ -8,14 +8,14 @@ import (
 
 func TestLayoutTablesAreContiguousAndAligned(t *testing.T) {
 	s := testSchema()
-	total, tableOffs, _ := layoutSize(s)
-	if tableOffs[0]%64 != 0 {
-		t.Fatalf("first table offset %d not 64-byte aligned", tableOffs[0])
+	total, tables := layoutSize(s)
+	if tables[0].offset%64 != 0 {
+		t.Fatalf("first table offset %d not 64-byte aligned", tables[0].offset)
 	}
-	prevEnd := tableOffs[0]
+	prevEnd := tables[0].offset
 	for i, tbl := range s.Tables {
-		if tableOffs[i] != prevEnd {
-			t.Fatalf("table %d starts at %d, want contiguous %d", i, tableOffs[i], prevEnd)
+		if tables[i].offset != prevEnd {
+			t.Fatalf("table %d starts at %d, want contiguous %d", i, tables[i].offset, prevEnd)
 		}
 		recSize := RecordHeaderSize + FieldSize*len(tbl.Fields)
 		prevEnd += recSize * tbl.NumRecords
@@ -189,4 +189,41 @@ func TestPropertyLayoutOffsetsConsistent(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The audit side touches every record of a table on every sweep, so the
+// accessors it calls per record must not allocate; a consistency check
+// allocates only its visited set, once per call.
+func TestAuditAccessorsDoNotAllocate(t *testing.T) {
+	db, c := chainedDB(t)
+	for g := 0; g < 4; g++ {
+		if _, err := c.Alloc(0, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	off, err := db.TrueRecordOffset(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink int
+	for _, tc := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"TrueRecordOffset", 0, func() { o, _ := db.TrueRecordOffset(0, 3); sink += o }},
+		{"StatusDirect", 0, func() { st, _ := db.StatusDirect(0, 3); sink += st }},
+		{"ReadFieldDirect", 0, func() { v, _ := db.ReadFieldDirect(0, 3, 1); sink += int(v) }},
+		{"HeaderAt", 0, func() { sink += db.HeaderAt(off).RecordID }},
+		{"GroupsConsistent", 1, func() {
+			if ok, err := db.GroupsConsistent(0); !ok || err != nil {
+				t.Fatalf("GroupsConsistent = (%v, %v)", ok, err)
+			}
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, tc.fn); n != tc.want {
+			t.Errorf("%s: %.0f allocations per call, want %.0f", tc.name, n, tc.want)
+		}
+	}
+	_ = sink
 }

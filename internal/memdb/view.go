@@ -58,22 +58,14 @@ func (db *DB) mutate() func() {
 	}
 }
 
-// viewTable caches the schema-derived layout of one table so View reads
-// never consult the (corruptible, and concurrently repairable) on-region
-// catalog.
-type viewTable struct {
-	recBase   int // table offset + group directory
-	recSize   int
-	numRecs   int
-	numFields int
-}
-
 // View provides optimistic validated reads of the region from goroutines
 // other than the database owner. A View is safe for concurrent use by any
-// number of goroutines and stays valid for the life of the DB.
+// number of goroutines and stays valid for the life of the DB. It locates
+// records through the DB's schema-derived layout, never the (corruptible,
+// and concurrently repairable) on-region catalog; the layout is written
+// once by New, so reading it needs no lock.
 type View struct {
-	db     *DB
-	tables []viewTable
+	db *DB
 
 	// Fast-lane telemetry. The zero-value counters make an unbound View
 	// safe to use; BindMetrics repoints them into a registry.
@@ -85,23 +77,12 @@ type View struct {
 // ReadView returns a read view over the database. Multiple calls return
 // independent views sharing the same counters' semantics.
 func (db *DB) ReadView() *View {
-	v := &View{
+	return &View{
 		db:        db,
-		tables:    make([]viewTable, len(db.schema.Tables)),
 		reads:     &metrics.Counter{},
 		retries:   &metrics.Counter{},
 		fallbacks: &metrics.Counter{},
 	}
-	_, tableOffs, _ := layoutSize(db.schema)
-	for i, t := range db.schema.Tables {
-		v.tables[i] = viewTable{
-			recBase:   tableOffs[i] + groupDirSize(t.Groups),
-			recSize:   RecordHeaderSize + FieldSize*len(t.Fields),
-			numRecs:   t.NumRecords,
-			numFields: len(t.Fields),
-		}
-	}
-	return v
 }
 
 // BindMetrics registers the fast-lane counters in reg.
@@ -122,15 +103,16 @@ func (v *View) Fallbacks() uint64 { return v.fallbacks.Load() }
 
 // locate bounds-checks table and rec, mirroring the executor path's errors
 // exactly so the wire mapping is byte-identical either way.
-func (v *View) locate(table, rec int) (viewTable, int, error) {
-	if table < 0 || table >= len(v.tables) {
-		return viewTable{}, 0, &BoundsError{What: "table", Index: table, Limit: len(v.tables)}
+func (v *View) locate(table, rec int) (*tableLayout, int, error) {
+	layout := v.db.layout
+	if table < 0 || table >= len(layout) {
+		return nil, 0, &BoundsError{What: "table", Index: table, Limit: len(layout)}
 	}
-	t := v.tables[table]
+	t := &layout[table]
 	if rec < 0 || rec >= t.numRecs {
-		return viewTable{}, 0, &BoundsError{What: "record", Index: rec, Limit: t.numRecs}
+		return nil, 0, &BoundsError{What: "record", Index: rec, Limit: t.numRecs}
 	}
-	return t, t.recBase + t.recSize*rec, nil
+	return t, t.record(rec), nil
 }
 
 // stable returns the current even generation, or ok=false when a mutation
